@@ -116,8 +116,10 @@ check: build vet lint test race chaos trace slo sim spot logs
 
 # Benchmarks: the full `go test -bench` sweep, the monitoring-stack
 # suite via cmd/tsdbbench (BENCH_tsdb.json), the sharded-core
-# throughput suite via cmd/simbench (BENCH_sim.json: students/sec and
-# bytes/student at 100k and 1M students), then full-repo lint wall time
+# throughput suite via cmd/simbench (BENCH_sim.json: students/sec,
+# bytes/student and allocs/student at 100k and 1M students; sessions
+# fold straight into the aggregates, so the per-student path allocates
+# nothing), then full-repo lint wall time
 # via cmd/lintbench (BENCH_lint.json: sequential vs parallel loading),
 # and the spot-market suite via cmd/spotbench (BENCH_spot.json: price
 # walk, bill integration, end-to-end survival run), and the logging
@@ -134,10 +136,13 @@ bench:
 # suites and fail if any benchmark's allocs/op regressed >20% against
 # the committed BENCH_*.json (allocs/op is stable across machines;
 # ns/op is not). logbench additionally pins the emit path to its hard
-# ≤1 alloc/op contract regardless of baseline.
+# ≤1 alloc/op contract regardless of baseline. simbench pins the
+# sharded core to ≤0.01 allocs/student and fails if students/sec drops
+# below a quarter of the committed BENCH_sim.json figure.
 benchcheck:
 	$(GO) run ./cmd/tsdbbench -check BENCH_tsdb.json
 	$(GO) run ./cmd/logbench -check BENCH_log.json
+	$(GO) run ./cmd/simbench -check BENCH_sim.json
 
 # Regenerate every table and figure plus the capacity/support views.
 repro:

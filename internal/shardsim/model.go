@@ -45,11 +45,9 @@ type rowCalib struct {
 	weekHour float64 // (Week-1) * HoursPerWeek
 
 	// On-demand VM rows.
-	overhangMult   float64 // m: per-student overhang = min(m*neg*noise, cap)
-	capAll         bool    // mass >= cap: every non-prompt student pins at cap
-	clippedPerNP   float64 // unplaceable mass per non-prompt student when capAll
-	startEventName string
-	endEventName   string
+	overhangMult float64 // m: per-student overhang = min(m*neg*noise, cap)
+	capAll       bool    // mass >= cap: every non-prompt student pins at cap
+	clippedPerNP float64 // unplaceable mass per non-prompt student when capAll
 
 	// Reserved rows.
 	attendFrac float64
@@ -95,11 +93,9 @@ func newCalibration(cfg Config) (*calibration, error) {
 	byAssignment := map[string]int{} // assignment name -> index into c.assignments
 	for i, row := range rows {
 		rc := rowCalib{
-			row:            row,
-			fipRate:        cost.FloatingIPRate,
-			weekHour:       float64(row.Week-1) * course.HoursPerWeek,
-			startEventName: "shard.lab.start " + row.ID,
-			endEventName:   "shard.lab.end " + row.ID,
+			row:      row,
+			fipRate:  cost.FloatingIPRate,
+			weekHour: float64(row.Week-1) * course.HoursPerWeek,
 		}
 		if row.ID == "6-edge" {
 			// No commercial equivalent: the paper excludes the row from

@@ -1,13 +1,15 @@
 // Package shardsim is the sharded, parallel simulation core for
 // million-student runs of the course usage model.
 //
-// A run is partitioned into fixed-size student shards. Each shard is an
-// independent discrete-event simulation: its own simclock.Clock, its own
-// RNG streams, and a private set of streaming aggregates (stats.Acc,
+// A run is partitioned into fixed-size student shards. Each shard owns
+// its RNG streams and a private set of streaming aggregates (stats.Acc,
 // stats.Hist, cloud.Occupancy) — never per-instance records, so memory
-// stays bounded by the shard size regardless of the population. Shards
-// execute concurrently on a worker pool and the partial aggregates merge
-// in shard order.
+// stays bounded by the shard size regardless of the population. Every
+// session a student generates is folded into those aggregates the moment
+// it is drawn: the aggregates are integral and order-free, so there is
+// no event queue to replay, and the per-student path allocates nothing.
+// Shards execute concurrently on a worker pool and the partial
+// aggregates merge in shard order.
 //
 // # Determinism (DESIGN.md §11)
 //
@@ -16,7 +18,9 @@
 //
 //  1. RNG derivation never flows through execution boundaries. Student g
 //     draws from seed → block(g>>12) → student(g) → stream; the 4096-
-//     student derivation block is a constant, not the shard size.
+//     student derivation block is a constant, not the shard size. The
+//     splits use stats.RNG.SplitValue, so deriving a student's streams
+//     never allocates.
 //  2. Every student is a pure function of (seed, g): the analytic model
 //     (model.go) has no cross-student coupling for a shard boundary to
 //     cut.
@@ -34,7 +38,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/course"
-	"repro/internal/simclock"
 	"repro/internal/stats"
 	"repro/internal/studentsim"
 )
@@ -50,12 +53,21 @@ type Config struct {
 	ShardSize int
 	// Workers caps concurrent shard executions (default GOMAXPROCS).
 	Workers int
-	// SemesterWeeks bounds instance lifetimes (default 15).
+	// SemesterWeeks bounds instance lifetimes (default 15): teardown at
+	// the end of the last week truncates running sessions and drops ones
+	// that would start later, booking their mass as clipped. It must lie
+	// in [0, MaxSemesterWeeks].
 	SemesterWeeks int
 	// Behavior overrides the calibrated behavior constants; nil uses
 	// the paper defaults.
 	Behavior *studentsim.Behavior
 }
+
+// MaxSemesterWeeks bounds Config.SemesterWeeks. Every shard holds an
+// hourly occupancy curve spanning the semester, so the bound keeps a
+// run's memory proportional to the shard count; ten years is far past
+// any course calendar.
+const MaxSemesterWeeks = 520
 
 func (c Config) withDefaults() Config {
 	if c.Students == 0 {
@@ -128,7 +140,8 @@ type Report struct {
 	GCP  CostTotals
 	// Occupancy is the population-wide concurrency curve.
 	Occupancy *cloud.Occupancy
-	// Events is the total executed across all shard clocks.
+	// Events counts the session effects applied across all shards: two
+	// per session placed (its launch and its delete).
 	Events int64
 }
 
@@ -181,6 +194,10 @@ func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Students < 0 {
 		return nil, fmt.Errorf("shardsim: negative Students %d", cfg.Students)
+	}
+	if cfg.SemesterWeeks < 0 || cfg.SemesterWeeks > MaxSemesterWeeks {
+		return nil, fmt.Errorf("shardsim: SemesterWeeks %d outside [0, %d]",
+			cfg.SemesterWeeks, MaxSemesterWeeks)
 	}
 	calib, err := newCalibration(cfg)
 	if err != nil {
@@ -257,11 +274,10 @@ func (rep *Report) mergeShard(p *shardAgg) {
 	rep.Events += p.events
 }
 
-// runShard simulates students [shard*ShardSize, ...) on a private clock
-// and returns the shard's aggregates.
+// runShard simulates students [shard*ShardSize, ...) and returns the
+// shard's aggregates.
 func runShard(c *calibration, cfg Config, shard int) *shardAgg {
 	agg := newShardAgg(c)
-	clk := simclock.New()
 	root := stats.NewRNG(cfg.Seed)
 
 	lo := shard * cfg.ShardSize
@@ -272,30 +288,50 @@ func runShard(c *calibration, cfg Config, shard int) *shardAgg {
 	for g := lo; g < hi; g++ {
 		// Fixed derivation blocks: the path to a student's generator
 		// depends only on g, never on the shard geometry.
-		block := root.Split(1 + uint64(g)>>blockShift)
-		stu := block.Split(uint64(g))
-		simulateStudent(c, stu, clk, agg)
+		block := root.SplitValue(1 + uint64(g)>>blockShift)
+		stu := block.SplitValue(uint64(g))
+		simulateStudent(c, &stu, agg)
 	}
-	clk.Run()
-	agg.events = clk.Executed()
 	return agg
 }
 
-// addSession schedules one resource-holding window [start, end) of a
-// row on the shard clock: occupancy at launch, hour metering at delete.
-func addSession(c *calibration, clk *simclock.Clock, agg *shardAgg,
-	ri int, start, end float64) {
+// clipToTeardown truncates the session [start, end) of row ri at
+// semester teardown and books the cut as clipped mass, keeping the
+// row-total invariant explicit. It returns the kept end, and ok=false
+// when the session starts at or after teardown: then all of its mass is
+// clipped and the session must not be placed.
+func clipToTeardown(c *calibration, agg *shardAgg, ri int,
+	start, end float64) (kept float64, ok bool) {
+	if end <= c.teardown {
+		return end, true
+	}
+	cut := c.teardown
+	if start >= cut {
+		cut = start
+	}
+	agg.rows[ri].ClippedMicroHours +=
+		stats.Micro((end - cut) * float64(c.rows[ri].row.VMsPerStudent))
+	return cut, start < c.teardown
+}
+
+// addSession applies one resource-holding window [start, end) of a row
+// to the shard aggregates: occupancy for its launch, hour metering for
+// its delete. Both are integral, order-free folds (DESIGN §11), so
+// applying them as the session is drawn yields the same bits as
+// replaying launches and deletes in time order.
+func addSession(c *calibration, agg *shardAgg, ri int, start, end float64) {
 	rc := &c.rows[ri]
+	if end < start {
+		panic(fmt.Sprintf("shardsim: row %s session ends at %g, before its start %g",
+			rc.row.ID, end, start))
+	}
 	vms := rc.row.VMsPerStudent
-	clk.At(start, rc.startEventName, func() {
-		agg.occ.AddInstances(start, end, rc.row.Flavor, vms)
-		agg.occ.AddFloatingIPs(start, end, 1)
-		clk.At(end, rc.endEventName, func() {
-			dur := end - start
-			agg.rows[ri].Instances.Add(dur * float64(vms))
-			agg.rows[ri].FIPs.Add(dur)
-		})
-	})
+	agg.occ.AddInstances(start, end, rc.row.Flavor, vms)
+	agg.occ.AddFloatingIPs(start, end, 1)
+	dur := end - start
+	agg.rows[ri].Instances.Add(dur * float64(vms))
+	agg.rows[ri].FIPs.Add(dur)
+	agg.events += 2
 }
 
 // sessionCost prices one session on both providers.
@@ -306,18 +342,20 @@ func sessionCost(rc *rowCalib, dur float64) (aws, gcp float64) {
 }
 
 // simulateStudent generates one student's semester: every on-demand VM
-// row plus one reserved pick per lease-backed assignment. Sessions are
-// scheduled on the shard clock; the student's bill folds into the cost
-// aggregates immediately (it is a pure function of the draws).
-func simulateStudent(c *calibration, stu *stats.RNG, clk *simclock.Clock, agg *shardAgg) {
+// row plus one reserved pick per lease-backed assignment. Sessions and
+// the student's bill fold into the shard aggregates as they are drawn
+// (they are pure functions of the draws). Streams are split by value,
+// so the whole path stays off the heap.
+func simulateStudent(c *calibration, stu *stats.RNG, agg *shardAgg) {
 	var costAWS, costGCP float64
 
 	// Shared negligence factor: the Fig. 2 long tail.
-	neg := stu.Split(lblNegligence).LogNormalMean(1, c.behavior.NegligenceSigma)
+	negRNG := stu.SplitValue(lblNegligence)
+	neg := negRNG.LogNormalMean(1, c.behavior.NegligenceSigma)
 
 	for _, ri := range c.vmRows {
 		rc := &c.rows[ri]
-		rng := stu.Split(lblRowBase + uint64(ri))
+		rng := stu.SplitValue(lblRowBase + uint64(ri))
 		prompt := rng.Bool(c.behavior.PromptDeleteFrac)
 		effort := rng.Triangular(c.cal.EffortLo, c.cal.EffortMode, c.cal.EffortHi)
 		noise := rng.LogNormalMean(1, c.cal.RowNoiseSigma)
@@ -338,15 +376,11 @@ func simulateStudent(c *calibration, stu *stats.RNG, clk *simclock.Clock, agg *s
 				}
 			}
 		}
-		end := start + working + overhang
-		if end > c.teardown {
-			// Semester teardown truncates the session; keep the row-total
-			// invariant explicit by booking the cut as clipped mass.
-			agg.rows[ri].ClippedMicroHours +=
-				stats.Micro((end - c.teardown) * float64(rc.row.VMsPerStudent))
-			end = c.teardown
+		end, ok := clipToTeardown(c, agg, ri, start, start+working+overhang)
+		if !ok {
+			continue
 		}
-		addSession(c, clk, agg, ri, start, end)
+		addSession(c, agg, ri, start, end)
 		a, g := sessionCost(rc, end-start)
 		costAWS += a
 		costGCP += g
@@ -354,7 +388,7 @@ func simulateStudent(c *calibration, stu *stats.RNG, clk *simclock.Clock, agg *s
 
 	for ai := range c.assignments {
 		asg := &c.assignments[ai]
-		rng := stu.Split(lblAssignBase + uint64(ai))
+		rng := stu.SplitValue(lblAssignBase + uint64(ai))
 		// Pick one hardware alternative by catalog share.
 		u := rng.Float64() * asg.cumShare[len(asg.cumShare)-1]
 		ri := asg.rows[len(asg.rows)-1]
@@ -374,12 +408,20 @@ func simulateStudent(c *calibration, stu *stats.RNG, clk *simclock.Clock, agg *s
 		}
 		start := rc.weekHour + rng.Uniform(2, 120)
 		for k := 0; k < slots; k++ {
-			end := start + rc.row.SlotHours
-			addSession(c, clk, agg, ri, start, end)
-			a, g := sessionCost(rc, rc.row.SlotHours)
-			costAWS += a
-			costGCP += g
-			start = end + rng.Uniform(2, 20)
+			// The next slot follows the unclipped one, so teardown never
+			// shifts the draws of later slots.
+			next := start + rc.row.SlotHours
+			if end, ok := clipToTeardown(c, agg, ri, start, next); ok {
+				addSession(c, agg, ri, start, end)
+				dur := rc.row.SlotHours // exact slot length unless cut
+				if end < next {
+					dur = end - start
+				}
+				a, g := sessionCost(rc, dur)
+				costAWS += a
+				costGCP += g
+			}
+			start = next + rng.Uniform(2, 20)
 		}
 	}
 

@@ -120,7 +120,7 @@ func TestCostDistributionAtScale(t *testing.T) {
 		}
 	}
 	if rep.Events == 0 || rep.Occupancy.Peak().Instances == 0 {
-		t.Error("event loop did not run: no events or empty occupancy")
+		t.Error("no sessions placed: no events or empty occupancy")
 	}
 }
 
@@ -179,5 +179,76 @@ func TestSplitLabelSchemeCollisionFree(t *testing.T) {
 			}
 			seen[key] = fmt.Sprintf("student %d label %d", g, lbl)
 		}
+	}
+}
+
+// TestShortSemesterClipsInsteadOfPanicking runs semesters that end
+// before the last lab week. Teardown must truncate or drop sessions —
+// never schedule an end before its start — and every dropped or cut
+// hour must land in ClippedMicroHours, so per row the placed plus the
+// clipped mass equals the full-semester run's.
+func TestShortSemesterClipsInsteadOfPanicking(t *testing.T) {
+	base := shardsim.Config{Students: 3000, Seed: 4, ShardSize: 700}
+	full, err := shardsim.Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, weeks := range []int{1, 3, 5, 7, 9, 14} {
+		cfg := base
+		cfg.SemesterWeeks = weeks
+		rep, err := shardsim.Run(cfg)
+		if err != nil {
+			t.Fatalf("SemesterWeeks %d: %v", weeks, err)
+		}
+		teardown := float64(weeks) * course.HoursPerWeek
+		for i, rt := range rep.Rows {
+			ref := full.Rows[i]
+			got := rt.Instances.SumMicro + rt.ClippedMicroHours
+			want := ref.Instances.SumMicro + ref.ClippedMicroHours
+			if diff := got - want; diff > ref.Instances.N || -diff > ref.Instances.N {
+				t.Errorf("SemesterWeeks %d row %s: placed+clipped %d micro-hours, full semester %d (tolerance %d)",
+					weeks, rt.Row.ID, got, want, ref.Instances.N)
+			}
+			if float64(rt.Row.Week-1)*course.HoursPerWeek >= teardown && rt.Instances.N != 0 {
+				t.Errorf("SemesterWeeks %d row %s (week %d): %d sessions placed after teardown",
+					weeks, rt.Row.ID, rt.Row.Week, rt.Instances.N)
+			}
+		}
+		if rep.Events > full.Events {
+			t.Errorf("SemesterWeeks %d: %d events, more than the full semester's %d",
+				weeks, rep.Events, full.Events)
+		}
+		if rep.AWS.PerStudent.Mean() > full.AWS.PerStudent.Mean() {
+			t.Errorf("SemesterWeeks %d: mean bill $%.2f above the full semester's $%.2f",
+				weeks, rep.AWS.PerStudent.Mean(), full.AWS.PerStudent.Mean())
+		}
+	}
+	for _, weeks := range []int{-3, -1, shardsim.MaxSemesterWeeks + 1} {
+		if _, err := shardsim.Run(shardsim.Config{Students: 10, SemesterWeeks: weeks}); err == nil {
+			t.Errorf("SemesterWeeks %d: want an error", weeks)
+		}
+	}
+}
+
+// TestZeroAllocsPerStudent pins the per-student path to the stack:
+// doubling the shard count adds allocations bounded by a per-shard
+// constant (aggregates, occupancy curve, root RNG), never one per
+// student.
+func TestZeroAllocsPerStudent(t *testing.T) {
+	const shardSize = 1024
+	allocs := func(shards int) float64 {
+		cfg := shardsim.Config{Students: shards * shardSize, Seed: 2,
+			ShardSize: shardSize, Workers: 1}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := shardsim.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const perShard = 32
+	four, eight := allocs(4), allocs(8)
+	if extra := eight - four; extra > 4*perShard {
+		t.Errorf("4 more shards of %d students added %.0f allocs (4 shards: %.0f, 8 shards: %.0f), want <= %d: the per-student path allocates",
+			shardSize, extra, four, eight, 4*perShard)
 	}
 }

@@ -24,7 +24,13 @@ type RNG struct {
 // NewRNG returns a generator seeded from seed via SplitMix64 so that
 // nearby seeds produce uncorrelated streams.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded expands seed into a generator state via SplitMix64.
+func seeded(seed uint64) RNG {
+	var r RNG
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -41,7 +47,15 @@ func NewRNG(seed uint64) *RNG {
 // child never perturbs the parent, so adding a new consumer does not shift
 // the random sequence seen by existing consumers.
 func (r *RNG) Split(label uint64) *RNG {
-	return NewRNG(r.s[0] ^ rotl(r.s[2], 17) ^ (label * 0xd1342543de82ef95))
+	c := r.SplitValue(label)
+	return &c
+}
+
+// SplitValue is Split returning the child by value: the same stream,
+// but a caller that keeps the child in a local variable derives it
+// without a heap allocation.
+func (r *RNG) SplitValue(label uint64) RNG {
+	return seeded(r.s[0] ^ rotl(r.s[2], 17) ^ (label * 0xd1342543de82ef95))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

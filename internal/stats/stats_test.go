@@ -77,6 +77,37 @@ func TestSplitContract(t *testing.T) {
 	}
 }
 
+// TestSplitValueMatchesSplit pins the value split to the pointer split:
+// over many parent states and labels both derive the same child stream,
+// and the value form never touches the heap.
+func TestSplitValueMatchesSplit(t *testing.T) {
+	parent := NewRNG(7)
+	labels := []uint64{0, 1, 2, 63, 64, 4095, 1 << 32, ^uint64(0)}
+	for state := 0; state < 200; state++ {
+		for _, lbl := range labels {
+			want := parent.Split(lbl)
+			got := parent.SplitValue(lbl)
+			for i := 0; i < 16; i++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("state %d label %d draw %d: SplitValue %x, Split %x", state, lbl, i, g, w)
+				}
+			}
+		}
+		parent.Uint64() // move to the next parent state
+	}
+
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		for lbl := uint64(0); lbl < 64; lbl++ {
+			c := parent.SplitValue(lbl)
+			sink ^= c.Uint64()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SplitValue allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 10000; i++ {
