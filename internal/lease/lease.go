@@ -13,6 +13,7 @@ package lease
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -63,14 +64,14 @@ type Reservation struct {
 // Hours returns the booked duration.
 func (r *Reservation) Hours() float64 { return r.End - r.Start }
 
-// overlaps reports whether [s1,e1) and [s2,e2) intersect.
-func overlaps(s1, e1, s2, e2 float64) bool { return s1 < e2 && s2 < e1 }
-
 // pool tracks the reservable nodes of one type and their bookings.
 type pool struct {
 	flavor cloud.Flavor
 	nodes  []string
-	// byNode holds reservations per node, kept sorted by start.
+	// byNode holds reservations per node, sorted by start. Each list's
+	// windows are disjoint (tryBookLocked only books a free node), so its
+	// ends are sorted too and the gaps between them are the node's free
+	// time; nodeFree and earliestLocked binary-search on that.
 	byNode map[string][]*Reservation
 	// holds are staff blocks restricting access; if non-empty, student
 	// bookings must fall entirely inside one hold.
@@ -83,9 +84,9 @@ type window struct{ start, end float64 }
 type Service struct {
 	mu     sync.Mutex
 	clock  *simclock.Clock
-	cloud  *cloud.Cloud   // optional: enables auto launch/terminate
-	tel    *telemetry.Bus // nil disables instrumentation
-	tracer *trace.Tracer  // nil disables tracing
+	cloud  *cloud.Cloud       // optional: enables auto launch/terminate
+	tel    *telemetry.Bus     // nil disables instrumentation
+	tracer *trace.Tracer      // nil disables tracing
 	log    *logging.Component // "lease" stream; nil no-ops
 	pools  map[string]*pool
 	all    map[string]*Reservation
@@ -180,29 +181,33 @@ func (s *Service) Book(spec Spec) (*Reservation, error) {
 func (s *Service) bookLocked(spec Spec) (*Reservation, error) {
 	r, err := s.tryBookLocked(spec)
 	if err != nil {
-		s.tel.Counter("lease.rejections").Inc()
-		s.tel.Emit("lease.reject",
-			telemetry.String("node_type", spec.NodeType),
-			telemetry.String("user", spec.User),
-			telemetry.String("reason", err.Error()))
+		if s.tel != nil {
+			s.tel.Counter("lease.rejections").Inc()
+			s.tel.Emit("lease.reject",
+				telemetry.String("node_type", spec.NodeType),
+				telemetry.String("user", spec.User),
+				telemetry.String("reason", err.Error()))
+		}
 		s.log.Warn("booking rejected",
 			logging.Str("node_type", spec.NodeType),
 			logging.Str("user", spec.User),
 			logging.Str("reason", err.Error()))
 		return nil, err
 	}
-	s.tel.Counter("lease.bookings").Inc()
-	s.tel.Counter(telemetry.Labeled("lease.bookings",
-		telemetry.String("node_type", r.NodeType),
-		telemetry.String("project", r.Project))).Inc()
-	s.tel.Histogram("lease.duration_hours", telemetry.LinearBuckets(1, 1, 12)).Observe(r.Hours())
-	s.tel.Emit("lease.book",
-		telemetry.String("id", r.ID),
-		telemetry.String("node_type", r.NodeType),
-		telemetry.String("node", r.Node),
-		telemetry.String("user", r.User),
-		telemetry.Float("start", r.Start),
-		telemetry.Float("end", r.End))
+	if s.tel != nil {
+		s.tel.Counter("lease.bookings").Inc()
+		s.tel.Counter(telemetry.Labeled("lease.bookings",
+			telemetry.String("node_type", r.NodeType),
+			telemetry.String("project", r.Project))).Inc()
+		s.tel.Histogram("lease.duration_hours", telemetry.LinearBuckets(1, 1, 12)).Observe(r.Hours())
+		s.tel.Emit("lease.book",
+			telemetry.String("id", r.ID),
+			telemetry.String("node_type", r.NodeType),
+			telemetry.String("node", r.Node),
+			telemetry.String("user", r.User),
+			telemetry.Float("start", r.Start),
+			telemetry.Float("end", r.End))
+	}
 	s.log.InfoT(r.span, "reservation booked",
 		logging.Str("id", r.ID),
 		logging.Str("node", r.Node),
@@ -212,7 +217,9 @@ func (s *Service) bookLocked(spec Spec) (*Reservation, error) {
 }
 
 func (s *Service) tryBookLocked(spec Spec) (*Reservation, error) {
-	if spec.End <= spec.Start {
+	// Negated so a NaN bound is rejected too: it would break the sorted,
+	// disjoint per-node lists the slot search relies on.
+	if !(spec.End > spec.Start) {
 		return nil, ErrBadWindow
 	}
 	// The lifecycle is driven by clock events; scheduling one in the past
@@ -263,11 +270,13 @@ func (s *Service) tryBookLocked(spec Spec) (*Reservation, error) {
 }
 
 // scheduleLifecycleLocked arms the launch/terminate events when a cloud
-// is attached.
+// is attached. The instance launches with the pool's flavor, the one its
+// bare-metal hosts were registered with.
 func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 	if s.cloud == nil {
 		return
 	}
+	p := s.pools[r.NodeType]
 	var start func(retries int)
 	start = func(retries int) {
 		s.mu.Lock()
@@ -280,7 +289,7 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 		inst, err := s.cloud.Launch(cloud.LaunchSpec{
 			Project: r.Project,
 			Name:    fmt.Sprintf("%s-%s", r.User, r.NodeType),
-			Flavor:  mustFlavor(r.NodeType),
+			Flavor:  p.flavor,
 			Tags:    r.Tags,
 			Span:    span,
 		})
@@ -299,12 +308,14 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 			// leave the reservation instance-less instead of panicking.
 			// Students saw exactly this on Chameleon when a reserved node
 			// died before their slot.
-			s.tel.Counter("lease.launch_failures").Inc()
-			s.tel.Emit("lease.launch_fail",
-				telemetry.String("id", r.ID),
-				telemetry.String("node", r.Node),
-				telemetry.String("reason", err.Error()),
-				telemetry.Float("t", s.clock.Now()))
+			if s.tel != nil {
+				s.tel.Counter("lease.launch_failures").Inc()
+				s.tel.Emit("lease.launch_fail",
+					telemetry.String("id", r.ID),
+					telemetry.String("node", r.Node),
+					telemetry.String("reason", err.Error()),
+					telemetry.Float("t", s.clock.Now()))
+			}
 			s.log.ErrorT(span, "reserved node failed to activate",
 				logging.Str("id", r.ID),
 				logging.Str("node", r.Node),
@@ -325,12 +336,14 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 		r.InstanceID = inst.ID
 		r.activeSpan = active
 		s.mu.Unlock()
-		s.tel.Counter("lease.activations").Inc()
-		s.tel.Emit("lease.activate",
-			telemetry.String("id", r.ID),
-			telemetry.String("node", r.Node),
-			telemetry.String("instance", inst.ID),
-			telemetry.Float("t", s.clock.Now()))
+		if s.tel != nil {
+			s.tel.Counter("lease.activations").Inc()
+			s.tel.Emit("lease.activate",
+				telemetry.String("id", r.ID),
+				telemetry.String("node", r.Node),
+				telemetry.String("instance", inst.ID),
+				telemetry.Float("t", s.clock.Now()))
+		}
 		s.log.InfoT(active, "reservation active",
 			logging.Str("id", r.ID),
 			logging.Str("node", r.Node),
@@ -346,12 +359,14 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 			if cancelled {
 				return
 			}
-			s.tel.Counter("lease.expiries").Inc()
-			s.tel.Emit("lease.expire",
-				telemetry.String("id", r.ID),
-				telemetry.String("node", r.Node),
-				telemetry.String("instance", inst.ID),
-				telemetry.Float("t", s.clock.Now()))
+			if s.tel != nil {
+				s.tel.Counter("lease.expiries").Inc()
+				s.tel.Emit("lease.expire",
+					telemetry.String("id", r.ID),
+					telemetry.String("node", r.Node),
+					telemetry.String("instance", inst.ID),
+					telemetry.Float("t", s.clock.Now()))
+			}
 			s.log.Info("reservation expired",
 				logging.Str("id", r.ID),
 				logging.Str("node", r.Node))
@@ -360,14 +375,6 @@ func (s *Service) scheduleLifecycleLocked(r *Reservation) {
 		})
 	}
 	s.clock.At(r.Start, "lease.start "+r.ID, func() { start(8) })
-}
-
-func mustFlavor(name string) cloud.Flavor {
-	f, err := cloud.FlavorByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 // Cancel withdraws a reservation. Cancelling after activation deletes the
@@ -402,10 +409,12 @@ func (s *Service) Cancel(id string) error {
 	active.FinishAt(now)
 	root.Annotate(telemetry.String("outcome", "cancelled"))
 	root.FinishAt(now)
-	s.tel.Counter("lease.cancellations").Inc()
-	s.tel.Emit("lease.cancel",
-		telemetry.String("id", id),
-		telemetry.Float("t", s.clock.Now()))
+	if s.tel != nil {
+		s.tel.Counter("lease.cancellations").Inc()
+		s.tel.Emit("lease.cancel",
+			telemetry.String("id", id),
+			telemetry.Float("t", s.clock.Now()))
+	}
 	return nil
 }
 
@@ -423,6 +432,11 @@ func (s *Service) Get(id string) (*Reservation, error) {
 // FindSlot returns the earliest start >= earliest at which some node of
 // nodeType is free for duration hours (and, if holds exist, the window
 // fits in a hold). It returns an error if no slot exists before horizon.
+// Each node's bookings are sorted by start and disjoint, so the search
+// walks each node's gaps instead of testing every booking end against
+// every node: the answer is max(gap start, earliest, hold start) for a
+// node's first gap and hold that fit (see earliestLocked). It allocates
+// nothing when a slot is found.
 func (s *Service) FindSlot(nodeType string, earliest, duration, horizon float64) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -430,40 +444,13 @@ func (s *Service) FindSlot(nodeType string, earliest, duration, horizon float64)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoPool, nodeType)
 	}
-	// Candidate start times: earliest itself, every reservation end, and
-	// every hold start after earliest.
-	cands := []float64{earliest}
-	for _, list := range p.byNode {
-		for _, r := range list {
-			if r.End >= earliest {
-				cands = append(cands, r.End)
-			}
-		}
-	}
-	for _, h := range p.holds {
-		if h.start >= earliest {
-			cands = append(cands, h.start)
-		}
-	}
-	sort.Float64s(cands)
-	for _, start := range cands {
-		if start < earliest || start+duration > horizon {
-			continue
-		}
-		if len(p.holds) > 0 && !insideAnyHold(p.holds, start, start+duration) {
-			continue
-		}
-		for _, n := range p.nodes {
-			if nodeFree(p.byNode[n], start, start+duration) {
-				return start, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("%w: %s for %.1fh before %.1f", ErrNoNodeFree, nodeType, duration, horizon)
+	return earliestLocked(p, earliest, duration, horizon)
 }
 
 // BookEarliest finds the earliest feasible slot and books it, a common
-// studentsim operation.
+// studentsim operation. The search and the booking happen under one hold
+// of the service lock, so a concurrent Book cannot take the slot between
+// them.
 func (s *Service) BookEarliest(spec Spec, duration, horizon float64) (*Reservation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -471,16 +458,79 @@ func (s *Service) BookEarliest(spec Spec, duration, horizon float64) (*Reservati
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoPool, spec.NodeType)
 	}
-	_ = p
-	s.mu.Unlock()
-	start, err := s.FindSlot(spec.NodeType, spec.Start, duration, horizon)
-	s.mu.Lock()
+	start, err := earliestLocked(p, spec.Start, duration, horizon)
 	if err != nil {
 		return nil, err
 	}
 	spec.Start = start
 	spec.End = start + duration
 	return s.bookLocked(spec)
+}
+
+// earliestLocked returns the earliest start >= earliest at which some node
+// of p is free for d hours, with start+d <= horizon and, if p has holds,
+// the window inside one hold.
+//
+// A node's free time is the gaps between its sorted, disjoint bookings,
+// so its earliest feasible start is max(gap start, earliest, hold start)
+// for its first gap and hold that fit the window. Every such value is a
+// booking end, earliest or a hold start: exactly the candidates a scan of
+// all booking ends would test, so the result is the same float.
+func earliestLocked(p *pool, earliest, d, horizon float64) (float64, error) {
+	if !(d > 0) || math.IsNaN(earliest) || math.IsNaN(horizon) {
+		return 0, fmt.Errorf("%w: %.1fh slot from %.1f before %.1f", ErrBadWindow, d, earliest, horizon)
+	}
+	holds := p.holds
+	if len(holds) == 0 {
+		holds = anytime
+	}
+	best, found := 0.0, false
+	for _, n := range p.nodes {
+		list := p.byNode[n]
+		// Bookings ending before earliest bound no gap after it.
+		i := sort.Search(len(list), func(i int) bool { return list[i].End >= earliest })
+		// Each gap starts later than the one before, so stop once a gap
+		// cannot beat the best start or fit before the horizon.
+		for gapStart := earliest; (!found || gapStart < best) && gapStart+d <= horizon; i++ {
+			gapEnd := horizon
+			if i < len(list) {
+				gapEnd = min(list[i].Start, horizon)
+			}
+			if t, ok := fitGap(holds, gapStart, gapEnd, d); ok {
+				if !found || t < best {
+					best, found = t, true
+				}
+				break
+			}
+			if i == len(list) {
+				break
+			}
+			gapStart = list[i].End
+		}
+	}
+	if !found {
+		return 0, fmt.Errorf("%w: %s for %.1fh before %.1f", ErrNoNodeFree, p.flavor.Name, d, horizon)
+	}
+	return best, nil
+}
+
+// anytime stands in for the holds of a pool that has none.
+var anytime = []window{{math.Inf(-1), math.Inf(1)}}
+
+// fitGap returns the earliest start t >= gapStart whose window [t, t+d)
+// ends by gapEnd and lies inside one of holds.
+func fitGap(holds []window, gapStart, gapEnd, d float64) (float64, bool) {
+	best, ok := 0.0, false
+	for _, h := range holds {
+		t := gapStart
+		if h.start > t {
+			t = h.start
+		}
+		if end := t + d; end <= gapEnd && end <= h.end && (!ok || t < best) {
+			best, ok = t, true
+		}
+	}
+	return best, ok
 }
 
 // Utilization returns booked-hours / (nodes × window-hours) for a node
@@ -541,13 +591,13 @@ func (s *Service) Reservations(nodeType string) []*Reservation {
 	return out
 }
 
+// nodeFree reports whether [start, end) overlaps no booking in list. The
+// list is sorted by start and its windows are disjoint, so their ends are
+// sorted too: only the last booking starting before end can reach into
+// the window, and it does unless it ends by start.
 func nodeFree(list []*Reservation, start, end float64) bool {
-	for _, r := range list {
-		if overlaps(start, end, r.Start, r.End) {
-			return false
-		}
-	}
-	return true
+	i := sort.Search(len(list), func(i int) bool { return list[i].Start >= end })
+	return i == 0 || list[i-1].End <= start
 }
 
 func insideAnyHold(holds []window, start, end float64) bool {
